@@ -1,8 +1,7 @@
 // Command mqobench regenerates the paper's experiments. With no flags it
 // runs every experiment; -experiment selects one of: fig6, q2ni, fig7,
 // fig8, fig9, fig10, monotonicity, sharability, nosharing, memory, scale,
-// space, parallel, multipick, calibrate, resultcache, ssb, observe,
-// loadgen, tiered, paramcache.
+// space, resultcache, ssb, observe, loadgen, tiered, paramcache.
 // With -json the results are emitted as a machine-readable JSON array
 // (one element per experiment) instead of the human-readable tables —
 // the format CI archives as a benchmark trajectory.
@@ -16,16 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"mqo/internal/bench"
 )
 
 func main() {
-	which := flag.String("experiment", "all", "experiment to run (fig6|q2ni|fig7|fig8|fig9|fig10|monotonicity|sharability|nosharing|memory|scale|space|parallel|multipick|calibrate|resultcache|ssb|observe|loadgen|tiered|paramcache|all)")
+	which := flag.String("experiment", "all", "experiment to run (fig6|q2ni|fig7|fig8|fig9|fig10|monotonicity|sharability|nosharing|memory|scale|space|resultcache|ssb|observe|loadgen|tiered|paramcache|all)")
 	maxCQ := flag.Int("maxcq", 3, "largest PSP composite for the ablation experiments (1-5)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for the parallel what-if costing, multi-pick and calibration experiments")
-	multipick := flag.Int("multipick", 4, "multi-pick width k for the multipick experiment")
 	rcBudget := flag.Int64("rcbudget", 16<<20, "result-cache byte budget for the resultcache and ssb experiments")
 	rcRAM := flag.Int64("rcram", 0, "tiered experiment's tight RAM budget in bytes (0: auto, smaller than the SSB working set)")
 	rcWarm := flag.Int64("rcwarm", 0, "tiered experiment's warm-tier budget in bytes (0: 16 MB)")
@@ -52,9 +48,6 @@ func main() {
 		{"memory", bench.MemorySensitivity},
 		{"scale", bench.ScaleSensitivity},
 		{"space", bench.SpaceBudgetCurve},
-		{"parallel", func() (*bench.Experiment, error) { return bench.ParallelSpeedup(*parallel) }},
-		{"multipick", func() (*bench.Experiment, error) { return bench.MultiPickSpeedup(*parallel, *multipick) }},
-		{"calibrate", func() (*bench.Experiment, error) { return bench.Calibrate(*parallel) }},
 		{"resultcache", func() (*bench.Experiment, error) { return bench.ResultCacheReplay(*rcBudget) }},
 		{"ssb", func() (*bench.Experiment, error) { return bench.SSB(*sf, *seed, *rcBudget) }},
 		{"observe", func() (*bench.Experiment, error) { return bench.Observe(*sf, *seed) }},

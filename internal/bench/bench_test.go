@@ -210,36 +210,3 @@ func TestScaleAndSpaceShapes(t *testing.T) {
 		prev = c
 	}
 }
-
-// TestParallelSpeedupShape: the BENCH_3 experiment must produce both loop
-// modes, identical plan costs and identical benefit-recomputation counts
-// serial vs parallel (parallelism may only change wall-clock).
-func TestParallelSpeedupShape(t *testing.T) {
-	e, err := ParallelSpeedup(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2 (monotonic, exhaustive)", len(e.Rows))
-	}
-	for _, row := range e.Rows {
-		if len(row.Cells) != 2 {
-			t.Fatalf("%s: got %d cells, want 2", row.Label, len(row.Cells))
-		}
-		if row.Cells[0].Cost != row.Cells[1].Cost {
-			t.Errorf("%s: parallel cost %f != serial cost %f", row.Label, row.Cells[1].Cost, row.Cells[0].Cost)
-		}
-		if row.Extra["serial_benefit_recomps"] != row.Extra["parallel_benefit_recomps"] {
-			t.Errorf("%s: recomputation counts diverge: %v vs %v", row.Label,
-				row.Extra["serial_benefit_recomps"], row.Extra["parallel_benefit_recomps"])
-		}
-		if row.Extra["speedup_x"] <= 0 {
-			t.Errorf("%s: non-positive speedup", row.Label)
-		}
-	}
-	mono := e.Rows[0].Extra["serial_benefit_recomps"]
-	exh := e.Rows[1].Extra["serial_benefit_recomps"]
-	if mono >= exh {
-		t.Errorf("monotonic loop recomputed %v benefits, exhaustive %v — heuristic not engaged", mono, exh)
-	}
-}

@@ -15,8 +15,7 @@ import (
 // on this machine — a RAM-resident cache table scanned through the primary
 // buffer pool against the same rows demoted to a disk-backed warm heap
 // scanned through its deliberately tiny private pool — and derives the
-// model's warm-tier read constant from the ratio (Model.DeriveWarmReadS,
-// the same measure-then-derive discipline as core.DeriveCalibration).
+// model's warm-tier read constant from the ratio (Model.DeriveWarmReadS).
 func calibrateWarm(model cost.Model) (ramNs, warmNs, derived float64, err error) {
 	db := storage.NewDB(256)
 	defer db.CloseWarm()

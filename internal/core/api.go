@@ -83,34 +83,6 @@ type Options struct {
 	// default both the forward and reverse orders are tried and the
 	// cheaper plan kept (§3.3).
 	RUForwardOnly bool
-	// Parallelism is the worker count of the shared search substrate: the
-	// greedy benefit waves (each worker on its own physical.CostView
-	// overlay of the shared DAG), Volcano-RU's forward/reverse order
-	// passes (each on a private overlay), and the sharability analysis
-	// (one logical group per worker). 0 — the default — auto-tunes each
-	// phase: serial below the phase's calibrated crossover (work estimate
-	// = items × DAG nodes; per-phase constants in calibrate.go, derived
-	// from the BENCH_3/BENCH_4 artifacts and re-derivable at runtime with
-	// DeriveCalibration). 1 forces strictly serial execution;
-	// n > 1 forces n workers. The materialization set, plan and cost are
-	// identical at every setting (selection breaks ties by benefit, then
-	// node topological order, and the speculation schedules are
-	// worker-count independent); only wall-clock time changes.
-	// Greedy.DisableIncremental forces serial benefit evaluation, since
-	// from-scratch recosting mutates the shared DAG.
-	Parallelism int
-	// MultiPick is the maximum number of candidates the greedy engine may
-	// commit per benefit-evaluation wave (speculative multi-pick): beyond
-	// the first pick, only candidates whose conflict cones do not clash
-	// with any pick already committed in the wave — whose benefits are
-	// therefore provably unchanged — are committed, in benefit-then-topo
-	// rank order. 0 or 1 is classic single-pick. Every k returns the
-	// identical materialized set, plan and total cost (the order picks
-	// commit in may permute when independent candidates tie exactly in
-	// benefit); larger k skips the evaluation waves serial single-pick
-	// would have spent re-deriving unchanged benefits (Stats.EvalWaves /
-	// Stats.BenefitRecomputations shrink accordingly).
-	MultiPick int
 }
 
 // Stats carries instrumentation from one optimization run.
@@ -125,18 +97,11 @@ type Stats struct {
 	DAGGroups             int
 	DAGExprs              int
 	PhysNodes             int
-	// Search-engine instrumentation: EvalWaves counts benefit-evaluation
-	// waves, SpeculativePicks counts multi-pick commits beyond the first
-	// of a wave. Both depend on MultiPick but never on Parallelism.
-	EvalWaves        int64
-	SpeculativePicks int64
-	// Volcano-RU batched-promotion instrumentation (winning order pass):
-	// RUPromotions counts reuse promotions committed; RUPromotionRetests
-	// counts the subset whose state an earlier promotion of the same pass
-	// had dirtied, forcing a re-read — the rest committed straight from
-	// their phase-1 capture as provably independent.
-	RUPromotions       int64
-	RUPromotionRetests int64
+	// EvalWaves counts the greedy search's benefit-evaluation waves.
+	EvalWaves int64
+	// RUPromotions counts the reuse promotions of Volcano-RU's winning
+	// order pass.
+	RUPromotions int64
 	// Phases breaks OptTime down by search phase (OptPhaseSharability,
 	// OptPhaseCandidates, OptPhaseWaves, OptPhaseCommit). Populated by the greedy
 	// algorithm; nil for the Volcano variants.

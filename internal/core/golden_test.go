@@ -78,10 +78,7 @@ func goldenWorkloads() []struct {
 }
 
 // TestGoldenPlans locks the optimizer's output on the golden workloads
-// under the three MQO heuristics. For Greedy the parallel engine (P=8) and
-// the speculative multi-pick engine (k=4, P=2) must reproduce the serial
-// single-pick snapshot byte-for-byte; for Volcano-RU the concurrent order
-// passes (P=2) must reproduce the sequential snapshot.
+// under the three MQO heuristics.
 func TestGoldenPlans(t *testing.T) {
 	model := cost.DefaultModel()
 	for _, w := range goldenWorkloads() {
@@ -92,40 +89,11 @@ func TestGoldenPlans(t *testing.T) {
 		for _, alg := range []Algorithm{VolcanoSH, VolcanoRU, Greedy} {
 			name := fmt.Sprintf("%s_%s.plan", w.name, strings.ToLower(alg.String()))
 			t.Run(name, func(t *testing.T) {
-				res, err := Optimize(context.Background(), pd, alg, Options{Parallelism: 1})
+				res, err := Optimize(context.Background(), pd, alg, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := renderGolden(res)
-
-				switch alg {
-				case Greedy:
-					for _, variant := range []struct {
-						label string
-						opt   Options
-					}{
-						{"parallel", Options{Parallelism: 8}},
-						{"multipick", Options{Parallelism: 2, MultiPick: 4}},
-					} {
-						vres, err := Optimize(context.Background(), pd, Greedy, variant.opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if vg := renderGolden(vres); vg != got {
-							t.Fatalf("%s greedy snapshot diverges from serial:\n%s",
-								variant.label, diffHint(got, vg))
-						}
-					}
-				case VolcanoRU:
-					conc, err := Optimize(context.Background(), pd, VolcanoRU, Options{Parallelism: 2})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if cg := renderGolden(conc); cg != got {
-						t.Fatalf("concurrent volcano-ru snapshot diverges from sequential:\n%s",
-							diffHint(got, cg))
-					}
-				}
 
 				path := filepath.Join("testdata", "golden", name)
 				if *updateGolden {

@@ -3,7 +3,6 @@ package core
 import (
 	"container/heap"
 	"context"
-	"sort"
 
 	"mqo/internal/cost"
 	"mqo/internal/dag"
@@ -12,30 +11,20 @@ import (
 )
 
 // optimizeGreedy implements the paper's Figure 4 greedy heuristic with the
-// three efficiency optimizations of §4, running on the shared search-engine
-// substrate (engine.go):
+// three efficiency optimizations of §4, running on the serial search engine
+// (engine.go):
 //
-//  1. only sharable nodes are candidates (§4.1), found by the — optionally
-//     fanned-out — sharability analysis;
-//  2. benefits are computed with incremental cost update (§4.2), via
-//     physical.CostView overlays so candidate evaluations never touch the
-//     shared DAG and can run on a worker pool (Options.Parallelism);
+//  1. only sharable nodes are candidates (§4.1), found by the sharability
+//     analysis;
+//  2. benefits are computed with incremental cost update (§4.2), via a
+//     physical.CostView overlay so candidate evaluations never touch the
+//     shared DAG;
 //  3. the monotonicity heuristic maintains a heap of benefit upper bounds
 //     and recomputes only the top candidates' benefits (§4.3).
 //
-// With Options.MultiPick > 1 the loops additionally commit up to k
-// conflict-free picks per evaluation wave (speculative multi-pick): a
-// candidate whose conflict cone does not clash with any pick already
-// committed this wave has an unchanged benefit after those commits, so
-// committing it immediately reproduces the set serial single-pick would
-// have chosen over its following waves — skipping those waves'
-// recomputations entirely (see the engine's determinism contract for the
-// exact-tie order caveat).
-//
 // Each §4 optimization can be disabled through GreedyOptions for the §6.3
 // ablation experiments. All selection steps break ties deterministically —
-// larger benefit first, then smaller topological number — so serial,
-// parallel and multi-pick runs choose the identical materialization set.
+// larger benefit first, then smaller topological number.
 func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Result, error) {
 	// Honour cancellation before the sharability analysis and candidate
 	// scan: no stats work should happen — let alone leak — for a run that
@@ -51,7 +40,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	if opts.Greedy.DisableSharability {
 		MarkAllSharable(pd)
 	} else {
-		degrees = ComputeSharabilityN(pd, opts.Parallelism)
+		degrees = ComputeSharability(pd)
 	}
 	sharePhase.end()
 
@@ -69,7 +58,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	stats.Candidates = len(candidates)
 	candPhase.end()
 
-	e := newSearchEngine(pd, opts, len(candidates))
+	e := newSearchEngine(pd, opts.Greedy)
 
 	wavePhase := startPhase(&stats, track, OptPhaseWaves)
 	var (
@@ -80,9 +69,9 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	case opts.Greedy.SpaceBudgetBytes > 0:
 		chosen, err = greedySpaceBudget(ctx, pd, candidates, e, opts.Greedy.SpaceBudgetBytes)
 	case opts.Greedy.DisableMonotonicity:
-		chosen, err = greedyExhaustive(ctx, pd, candidates, e)
+		chosen, err = greedyExhaustive(ctx, candidates, e)
 	default:
-		chosen, err = greedyMonotonic(ctx, pd, candidates, degrees, e)
+		chosen, err = greedyMonotonic(ctx, candidates, degrees, e)
 	}
 	e.close()
 	wavePhase.end()
@@ -93,9 +82,8 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	commitPhase := startPhase(&stats, track, OptPhaseCommit)
 	res := &Result{Cost: pd.TotalCost(), Plan: pd.ExtractPlan(), Materialized: chosen}
 	commitPhase.end()
-	stats.BenefitRecomputations = e.recomps.Load()
+	stats.BenefitRecomputations = e.recomps
 	stats.EvalWaves = e.waves
-	stats.SpeculativePicks = e.specPicks
 	res.Stats = stats
 	return res, nil
 }
@@ -107,39 +95,23 @@ func candidateNode(pd *physical.DAG, n *physical.Node) bool {
 	return n.Sharable && !n.LG.ParamDep && n != pd.Root && n.Cost > 0
 }
 
-// rankDesc returns candidate indices ordered by score descending. The
-// sort is stable over the candidates' topological order, so ties resolve
-// to the smaller topological number — the engine's deterministic pick rule.
-func rankDesc(scores []float64) []int {
-	rank := make([]int, len(scores))
-	for i := range rank {
-		rank[i] = i
-	}
-	sort.SliceStable(rank, func(a, b int) bool { return scores[rank[a]] > scores[rank[b]] })
-	return rank
-}
-
-// dropPicked removes the picked indices from nodes, preserving order.
-func dropPicked(nodes []*physical.Node, picked []int) []*physical.Node {
-	drop := make(map[int]bool, len(picked))
-	for _, i := range picked {
-		drop[i] = true
-	}
-	out := nodes[:0]
-	for i, n := range nodes {
-		if !drop[i] {
-			out = append(out, n)
+// argmax returns the index of the largest score, the smallest index among
+// ties — candidates are in topological order, so this is the engine's
+// deterministic (score, then topological number) pick rule.
+func argmax(scores []float64) int {
+	best := 0
+	for i, s := range scores {
+		if s > scores[best] {
+			best = i
 		}
 	}
-	return out
+	return best
 }
 
 // greedySpaceBudget implements the paper's §8 space-constrained variant:
 // candidates are picked in order of benefit per unit of materialized-result
 // space until the temporary-storage budget is exhausted. Benefits are
-// recomputed each wave, fanned out over the engine's workers; a candidate
-// that stops fitting the budget never fits again (consumption only grows),
-// so multi-pick may pass over it without changing later serial picks.
+// recomputed each wave for the candidates that still fit.
 func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*physical.Node,
 	e *searchEngine, budget int64) ([]*physical.Node, error) {
 
@@ -161,7 +133,7 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 				affordable = append(affordable, n)
 			}
 		}
-		bens, cones, err := e.evalWave(ctx, affordable)
+		bens, err := e.evalWave(ctx, affordable)
 		if err != nil {
 			return nil, err
 		}
@@ -174,52 +146,41 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 				rates[i] = bens[i] / float64(sizeOf(n))
 			}
 		}
-		picked := e.pickPrefix(rankDesc(rates), affordable, cones,
-			func(i int) bool { return bens[i] > 0 && used+sizeOf(affordable[i]) <= budget },
-			func(i int) bool { return used+sizeOf(affordable[i]) > budget },
-			func(i int) { used += sizeOf(affordable[i]) })
-		if len(picked) == 0 {
+		best := argmax(rates)
+		if bens[best] <= 0 {
 			break
 		}
-		for _, i := range picked {
-			chosen = append(chosen, affordable[i])
-		}
-		pickedNodes := make(map[*physical.Node]bool, len(picked))
-		for _, i := range picked {
-			pickedNodes[affordable[i]] = true
-		}
-		kept := remaining[:0]
-		for _, n := range remaining {
-			if !pickedNodes[n] {
-				kept = append(kept, n)
+		pick := affordable[best]
+		e.commit(pick)
+		used += sizeOf(pick)
+		chosen = append(chosen, pick)
+		for i, n := range remaining {
+			if n == pick {
+				remaining = append(remaining[:i], remaining[i+1:]...)
+				break
 			}
 		}
-		remaining = kept
 	}
 	return chosen, nil
 }
 
 // greedyExhaustive is Figure 4 without the monotonicity heuristic: every
-// remaining candidate's benefit is recomputed each wave, fanned out over
-// the engine's workers. Candidates stay in topological order, so the
-// ranked prefix pick is the deterministic (benefit, then topo) rule.
-func greedyExhaustive(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, e *searchEngine) ([]*physical.Node, error) {
+// remaining candidate's benefit is recomputed each wave.
+func greedyExhaustive(ctx context.Context, candidates []*physical.Node, e *searchEngine) ([]*physical.Node, error) {
 	remaining := append([]*physical.Node(nil), candidates...)
 	var chosen []*physical.Node
 	for len(remaining) > 0 {
-		bens, cones, err := e.evalWave(ctx, remaining)
+		bens, err := e.evalWave(ctx, remaining)
 		if err != nil {
 			return nil, err
 		}
-		picked := e.pickPrefix(rankDesc(bens), remaining, cones,
-			func(i int) bool { return bens[i] > 0 }, nil, nil)
-		if len(picked) == 0 {
+		best := argmax(bens)
+		if bens[best] <= 0 {
 			break
 		}
-		for _, i := range picked {
-			chosen = append(chosen, remaining[i])
-		}
-		remaining = dropPicked(remaining, picked)
+		e.commit(remaining[best])
+		chosen = append(chosen, remaining[best])
+		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 	return chosen, nil
 }
@@ -231,10 +192,6 @@ type benefitItem struct {
 	// version matches the chooser's version).
 	ub      cost.Cost
 	version int
-	// cone is the conflict cone captured when ub was last recomputed
-	// (multi-pick only, nil otherwise): the dirty-ancestor set of the
-	// what-if, used to prove exactness survives a commit.
-	cone physical.Cone
 }
 
 // itemPrecedes is the deterministic total order of the monotonic heap:
@@ -260,22 +217,19 @@ func (h *benefitHeap) Pop() interface{} {
 	return it
 }
 
+// staleBatch is the number of stale heap entries the monotonic greedy loop
+// recomputes per evaluation wave. Recomputing a batch instead of one entry
+// at a time costs ~1% extra recomputations (BQ5: 216 at 8 vs 214 at 1).
+// The value is part of the plan: where monotonicity fails, a different
+// batch size can change which candidate is picked, so the goldens pin it.
+const staleBatch = 8
+
 // greedyMonotonic is Figure 4 with the §4.3 monotonicity heuristic: a heap
 // orders candidates by benefit upper bound (initially cost × degree of
-// sharing); stale top entries are recomputed — up to speculationWidth per
-// wave, concurrently — and a candidate is chosen only when its exact
-// benefit still tops the heap, so most candidates are never recomputed.
-// The recomputation sequence depends only on the heap state, never on the
-// worker count, so every parallelism level picks the same set.
-//
-// Speculative multi-pick: committing a pick normally stales every heap
-// entry (version bump). With MultiPick > 1, entries that were exact for
-// the pre-commit state and whose conflict cones are disjoint from the pick
-// are promoted to the new version instead — their benefits are provably
-// unchanged — so when such an entry tops the heap it commits immediately,
-// skipping the recomputation wave serial single-pick would have spent
-// re-deriving the very same value.
-func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, degrees map[*dag.Group]float64,
+// sharing); stale top entries are recomputed, up to staleBatch per wave,
+// and a candidate is chosen only when its exact benefit still tops the
+// heap, so most candidates are never recomputed.
+func greedyMonotonic(ctx context.Context, candidates []*physical.Node, degrees map[*dag.Group]float64,
 	e *searchEngine) ([]*physical.Node, error) {
 
 	h := &benefitHeap{}
@@ -291,7 +245,6 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 
 	var chosen []*physical.Node
 	version := 0
-	picksInWave := 0
 	for h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -305,29 +258,13 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 			}
 			e.commit(top.n)
 			chosen = append(chosen, top.n)
-			picksInWave++
-			if picksInWave > 1 {
-				e.specPicks++
-			}
 			version++
-			if picksInWave < e.multiPick && top.cone.Valid() {
-				// Promote entries whose exactness survives this commit:
-				// conflict-free benefits are bit-identical before and
-				// after, and promotion at every commit of the wave keeps
-				// surviving entries conflict-free with all its picks.
-				for _, it := range *h {
-					if it.version == version-1 && it.cone.Valid() && !top.cone.Conflicts(it.cone) {
-						it.version = version
-					}
-				}
-			}
 			continue
 		}
-		picksInWave = 0
-		// Speculatively recompute the stale entries nearest the top. An
-		// exact entry bounds everything below it, so stop there.
+		// Recompute the stale entries nearest the top. An exact entry
+		// bounds everything below it, so stop there.
 		var popped, stale []*benefitItem
-		for h.Len() > 0 && len(stale) < speculationWidth {
+		for h.Len() > 0 && len(stale) < staleBatch {
 			it := heap.Pop(h).(*benefitItem)
 			popped = append(popped, it)
 			if it.version == version {
@@ -339,16 +276,13 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 		for i, it := range stale {
 			nodes[i] = it.n
 		}
-		bens, cones, err := e.evalWave(ctx, nodes)
+		bens, err := e.evalWave(ctx, nodes)
 		if err != nil {
 			return nil, err
 		}
 		for i, it := range stale {
 			it.ub = bens[i]
 			it.version = version
-			if cones != nil {
-				it.cone = cones[i]
-			}
 		}
 		for _, it := range popped {
 			heap.Push(h, it)

@@ -13,57 +13,20 @@ import (
 // a time (which keeps space linear, as the paper suggests). Invocation
 // counts of nested queries multiply the degree (§5). It returns the degree
 // per logical group and marks physical nodes of groups with degree > 1 (and
-// not parameter-dependent) as Sharable. The worker count is auto-tuned.
-func ComputeSharability(pd *physical.DAG) map[*dag.Group]float64 {
-	return ComputeSharabilityN(pd, 0)
-}
-
-// ComputeSharabilityN is ComputeSharability with an explicit parallelism
-// knob (the Options.Parallelism convention: 0 auto-tunes, 1 is serial,
-// n > 1 fans out). The per-z passes are independent — each reads only the
-// immutable logical DAG and writes its own scratch map — so they fan out
-// one logical group per worker; the resulting degrees are identical at
-// every worker count.
+// not parameter-dependent) as Sharable.
 //
 // Note that a node can be sharable even with a single parent operation
 // node, when that parent itself occurs multiple times in some plan tree
 // (the paper's e1/e2/e3 example in §3.2); the bottom-up product over the
 // recurrences accounts for this.
-func ComputeSharabilityN(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
+func ComputeSharability(pd *physical.DAG) map[*dag.Group]float64 {
 	root := pd.Root.LG
 	order := logicalTopoOrder(root)
-	zs := make([]*dag.Group, 0, len(order))
-	for _, z := range order {
-		if z != root {
-			zs = append(zs, z)
-		}
-	}
-
-	workers := resolveWorkers(PhaseSharability, parallelism, len(zs)*len(order))
-	if workers > len(zs) {
-		workers = len(zs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// degs[i] is z_i's degree; written by exactly one worker each, read
-	// only after the join. Scratch E maps are per-worker, reused across
-	// that worker's passes.
-	degs := make([]float64, len(zs))
-	scratch := make([]map[*dag.Group]float64, workers)
-	_ = parallelFor(nil, workers, len(zs), func(w, i int) {
-		e := scratch[w]
-		if e == nil {
-			e = make(map[*dag.Group]float64, len(order))
-			scratch[w] = e
-		}
-		degs[i] = degreeOfSharing(order, zs[i], root, e)
-	})
-
-	degrees := make(map[*dag.Group]float64, len(zs))
-	for i, z := range zs {
-		degrees[z] = degs[i]
+	ops := sharingOps(order)
+	degrees := make(map[*dag.Group]float64, len(order))
+	e := make([]float64, len(order))
+	for zi, z := range order[:len(order)-1] { // the root is last
+		degrees[z] = degreeOfSharing(ops, zi, e)
 	}
 	for _, n := range pd.Nodes {
 		n.Sharable = degrees[n.LG] > 1 && !n.LG.ParamDep
@@ -71,31 +34,58 @@ func ComputeSharabilityN(pd *physical.DAG, parallelism int) map[*dag.Group]float
 	return degrees
 }
 
-// degreeOfSharing runs one z pass of the §4.1 recurrences over the groups
-// in topological order, using (and overwriting) the caller's scratch map.
-func degreeOfSharing(order []*dag.Group, z, root *dag.Group, e map[*dag.Group]float64) float64 {
-	for _, g := range order {
-		if g == z {
-			e[g] = 1
-			continue
-		}
-		best := 0.0
+// sharingOp is one operation node of the §4.1 recurrences: its weight (an
+// Invoke's invocation count, else 1) and its children's positions in the
+// topological order.
+type sharingOp struct {
+	w    float64
+	kids []int
+}
+
+// sharingOps lists each group's operation nodes, indexed like order.
+func sharingOps(order []*dag.Group) [][]sharingOp {
+	pos := make(map[*dag.Group]int, len(order))
+	for i, g := range order {
+		pos[g] = i
+	}
+	ops := make([][]sharingOp, len(order))
+	for i, g := range order {
 		for _, ex := range g.Exprs {
-			w := 1.0
+			op := sharingOp{w: 1, kids: make([]int, len(ex.Children))}
 			if iv, ok := ex.Op.(algebra.Invoke); ok {
-				w = float64(iv.Times)
+				op.w = float64(iv.Times)
 			}
+			for j, c := range ex.Children {
+				op.kids[j] = pos[c.Find()]
+			}
+			ops[i] = append(ops[i], op)
+		}
+	}
+	return ops
+}
+
+// degreeOfSharing runs the §4.1 recurrences for the group at position z of
+// the topological order and returns the root's (last) value, overwriting
+// e. Groups before z cannot contain z, so their value is 0: the pass
+// starts at z and skips their terms, which adds exactly the same float sum.
+func degreeOfSharing(ops [][]sharingOp, z int, e []float64) float64 {
+	e[z] = 1
+	for i := z + 1; i < len(ops); i++ {
+		best := 0.0
+		for _, op := range ops[i] {
 			sum := 0.0
-			for _, c := range ex.Children {
-				sum += w * e[c.Find()]
+			for _, c := range op.kids {
+				if c >= z {
+					sum += op.w * e[c]
+				}
 			}
 			if sum > best {
 				best = sum
 			}
 		}
-		e[g] = best
+		e[i] = best
 	}
-	return e[root]
+	return e[len(e)-1]
 }
 
 // MarkAllSharable marks every non-parameter-dependent node sharable,

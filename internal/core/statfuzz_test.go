@@ -43,9 +43,7 @@ func fuzzCatalog(rng *rand.Rand, global float64) (*catalog.Catalog, map[string]f
 //
 //  1. every heuristic's plan costs no more than Volcano's on the same DAG;
 //  2. monotonic greedy and the exhaustive ablation agree on cost;
-//  3. the parallel and multi-pick engines reproduce serial greedy's cost
-//     and materialized set at every statistics point;
-//  4. scaling EVERY table's cardinality up never makes any algorithm's
+//  3. scaling EVERY table's cardinality up never makes any algorithm's
 //     plan cheaper (costs move with stats).
 func TestCatalogStatMutationFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -75,28 +73,10 @@ func TestCatalogStatMutationFuzz(t *testing.T) {
 		if !cost.Eq(costs[Greedy], exh.Cost) {
 			t.Errorf("trial %d: monotonic greedy %f != exhaustive %f", trial, costs[Greedy], exh.Cost)
 		}
-
-		serial, err := Optimize(context.Background(), pd, Greedy, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, opt := range []Options{
-			{Parallelism: 4},
-			{Parallelism: 2, MultiPick: 4},
-		} {
-			res, err := Optimize(context.Background(), pd, Greedy, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Cost != serial.Cost || !sameIDs(sortedIDs(res), sortedIDs(serial)) {
-				t.Errorf("trial %d: engine opts %+v diverged from serial (cost %v vs %v)",
-					trial, opt, res.Cost, serial.Cost)
-			}
-		}
 	}
 }
 
-// TestCatalogStatScaleMonotonicity is invariant 4 in isolation: for a
+// TestCatalogStatScaleMonotonicity is invariant 3 in isolation: for a
 // fixed batch, doubling every table's cardinality must not reduce any
 // algorithm's plan cost — more data can only cost more under the paper's
 // I/O-dominated model.

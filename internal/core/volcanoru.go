@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"mqo/internal/cost"
 	"mqo/internal/physical"
 )
 
@@ -12,16 +11,15 @@ import (
 // (materializing a candidate as soon as one further use would pay for it),
 // then run Volcano-SH over the combined DAG-structured plan for the final
 // materialization decisions. Both the given and the reverse query order are
-// tried and the cheaper result returned (§3.3), unless opt.RUForwardOnly.
+// tried, one after the other, and the cheaper result returned (§3.3),
+// unless opt.RUForwardOnly.
 //
 // Each order pass runs on a private physical.CostView overlay of the shared
 // DAG — its candidate materializations and the cost updates they trigger
-// live entirely in the view — so the two passes are independent and run
-// concurrently when the substrate fans out (Options.Parallelism). The
-// shared DAG sees no writes at all until the winning order's materialized
-// set commits at the end; error and cancellation paths therefore leave the
-// DAG's costing state exactly as Optimize's entry reset left it, with
-// nothing to restore.
+// live entirely in the view. The shared DAG sees no writes at all until the
+// winning order's materialized set commits at the end; error and
+// cancellation paths therefore leave the DAG's costing state exactly as
+// Optimize's entry reset left it, with nothing to restore.
 func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Result, error) {
 	n := len(pd.QueryRoots)
 	forward := make([]int, n)
@@ -37,41 +35,19 @@ func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Res
 		orders = append(orders, reverse)
 	}
 
-	workers := 1
-	if len(orders) > 1 {
-		workers = resolveWorkers(PhaseRU, opt.Parallelism, len(pd.Nodes)*n)
-	}
-	results := make([]*Result, len(orders))
-	errs := make([]error, len(orders))
-	views := make([]*physical.CostView, len(orders))
-	for i := range views {
-		views[i] = pd.AcquireView()
-	}
-	_ = parallelFor(ctx, workers, len(orders), func(w, i int) {
-		results[i], errs[i] = runRUOrder(ctx, pd, views[i], orders[i])
-	})
-	// Drain the views' propagation instrumentation into the Figure 10
-	// counters and pool them again; both happen after the join, from this
-	// goroutine only, so the totals are deterministic.
-	for _, v := range views {
+	var best *Result
+	for _, order := range orders {
+		v := pd.NewCostView()
+		res, err := runRUOrder(ctx, pd, v, order)
+		// Drain the view's propagation instrumentation into the Figure 10
+		// counters, on error paths too.
 		pd.AddCounters(v.DrainCounters())
-		pd.ReleaseView(v)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	// Deterministic winner: strictly cheaper only, so the forward order
-	// wins ties regardless of which pass finished first.
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Cost < best.Cost {
-			best = r
+		// Strictly cheaper only, so the forward order wins ties.
+		if best == nil || res.Cost < best.Cost {
+			best = res
 		}
 	}
 	// The only shared-state write of the whole algorithm: leave the DAG
@@ -90,7 +66,7 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 	count := map[*physical.Node]int{}
 	queryPlans := make([]*physical.PlanNode, len(pd.QueryRoots))
 
-	var promotions, retests int64
+	var promotions int64
 	for _, qi := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -101,7 +77,24 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 		// choice, new nodes are costed under the view's current state.
 		pn := pd.ExtractIntoView(v, plan, qn)
 		queryPlans[qi] = pn
-		promotions += promoteBatch(pd, v, pn, count, &retests)
+		// Count uses and promote nodes worth materializing if used once
+		// more: cost + matcost + count·reuse < (count+1)·cost.
+		pn.Walk(func(p *physical.PlanNode) {
+			node := p.N
+			if node.LG.ParamDep || node == pd.Root {
+				return
+			}
+			count[node]++
+			if v.Materialized(node) {
+				return
+			}
+			c := float64(count[node])
+			nc := v.CostOf(node)
+			if nc+node.MatCost+c*node.ReuseSeq < (c+1)*nc {
+				v.SetMaterialized(node, true)
+				promotions++
+			}
+		})
 	}
 
 	// Combine P1..Pk under the batch root and let Volcano-SH make the
@@ -121,61 +114,5 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 	}
 	res := &Result{Cost: total, Plan: plan, Materialized: mats}
 	res.Stats.RUPromotions = promotions
-	res.Stats.RUPromotionRetests = retests
 	return res, nil
-}
-
-// promoteBatch runs the reuse-promotion rule over one freshly extracted
-// query plan as a batched two-phase pass instead of promoting mid-walk.
-// Phase 1 walks the plan once, counting uses and capturing every
-// not-yet-materialized node's cost under the view at visit time. Phase 2
-// commits the promotions in the same deterministic (walk) order, using the
-// conflict-cone machinery's change tracking (SetMaterializedMark) to
-// re-read state only for candidates an earlier commit actually altered: a
-// candidate outside every earlier promotion's altered cone has a provably
-// unchanged cost, so its phase-1 verdict commits as-is — the promotions
-// are independent and land in one pass. The promotion sequence, and
-// therefore the extracted plan, is byte-for-byte identical to the serial
-// mid-walk rule (the golden snapshots enforce this); only the re-reads
-// serial promotion does against unchanged state are skipped. It returns
-// the number of promotions; retests counts candidates whose state an
-// earlier commit dirtied.
-func promoteBatch(pd *physical.DAG, v *physical.CostView, pn *physical.PlanNode,
-	count map[*physical.Node]int, retests *int64) int64 {
-
-	type cand struct {
-		node *physical.Node
-		uses float64
-		nc   cost.Cost
-	}
-	var cands []cand
-	pn.Walk(func(p *physical.PlanNode) {
-		node := p.N
-		if node.LG.ParamDep || node == pd.Root {
-			return
-		}
-		count[node]++
-		if v.Materialized(node) {
-			return
-		}
-		cands = append(cands, cand{node: node, uses: float64(count[node]), nc: v.CostOf(node)})
-	})
-
-	dirty := map[*physical.Node]bool{}
-	mark := func(x *physical.Node) { dirty[x] = true }
-	var promotions int64
-	for _, c := range cands {
-		nc := c.nc
-		if dirty[c.node] {
-			*retests++
-			nc = v.CostOf(c.node)
-		}
-		// Promote a node worth materializing if used once more:
-		// cost + matcost + count·reuse < (count+1)·cost.
-		if nc+c.node.MatCost+c.uses*c.node.ReuseSeq < (c.uses+1)*nc {
-			v.SetMaterializedMark(c.node, true, mark)
-			promotions++
-		}
-	}
-	return promotions
 }

@@ -31,7 +31,7 @@ func optimizeVolcanoSH(ctx context.Context, pd *physical.DAG) (*Result, error) {
 // is the overlay the plan was extracted under (Volcano-RU passes their
 // per-order view); it is consulted only when the subsumption prepass
 // extracts additional child plans, so the pass reads — never writes — the
-// shared DAG and may run concurrently with other passes on other views.
+// shared DAG.
 func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView, plan *physical.Plan) (cost.Cost, []*physical.Node, error) {
 	sh := &shState{
 		pd:        pd,

@@ -168,9 +168,7 @@ func ResidualInvokeWeight(times float64, residual, total int) float64 {
 }
 
 // DeriveWarmReadS calibrates the warm tier's per-block read constant from
-// measured per-page scan latencies on the two tiers (the same derive-from-
-// artifacts discipline core.DeriveCalibration applies to the phase
-// crossovers): it scales ReadS by the measured warm/RAM ratio, clamped to
+// measured per-page scan latencies on the two tiers: it scales ReadS by the measured warm/RAM ratio, clamped to
 // at least ReadS so a noisy measurement can never make the optimizer price
 // a disk read cheaper than a RAM read. Non-positive inputs return the
 // model's current effective warm constant unchanged.

@@ -27,9 +27,8 @@ func (k SampleKind) String() string {
 }
 
 // CostSample is one measured cost observation from an executed plan: the
-// typed stream the calibration and cache-admission control loops consume
-// (feeding value densities and SetCalibration is the next PR; the hooks
-// land here). Key is the table name for ScanSample and the canonical
+// typed stream a cost-feedback or cache-admission control loop can
+// consume. Key is the table name for ScanSample and the canonical
 // logical fingerprint (or node tag when no fingerprint is available) for
 // RecomputeSample.
 type CostSample struct {

@@ -3,8 +3,6 @@ package physical
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mqo/internal/algebra"
 	"mqo/internal/cost"
@@ -136,23 +134,6 @@ type DAG struct {
 	nextID  int
 
 	costing costState
-
-	// Striped free list of reusable CostViews (AcquireView /
-	// ReleaseView): parallel benefit-evaluation workers churn views every
-	// wave, so the list is split into independently locked stripes with a
-	// rotating hint instead of one mutex-guarded slice.
-	viewStripes [viewStripeCount]viewStripe
-	viewHint    atomic.Uint32
-}
-
-// viewStripeCount fixes the free list's stripe count; 8 comfortably covers
-// the auto-tuned worker fan-out without one lock per worker.
-const viewStripeCount = 8
-
-// viewStripe is one independently locked slice of the CostView free list.
-type viewStripe struct {
-	mu    sync.Mutex
-	views []*CostView
 }
 
 type nodeKey struct {

@@ -16,7 +16,7 @@ type costState struct {
 	// list, never over the map: float64 addition is not associative, so
 	// summing in Go's randomized map order could make two identical runs
 	// differ by an ulp — enough to flip a near-tie greedy pick and break
-	// the serial ≡ parallel plan guarantee.
+	// the golden plans.
 	matList []*Node
 
 	// Counters for the Figure 10 / §6.3 experiments.
@@ -72,9 +72,8 @@ func (pd *DAG) ResetCounters() {
 }
 
 // AddCounters merges externally accumulated (propagations, recomputations)
-// counts — typically drained from CostViews after a what-if fan-out — into
-// the DAG's instrumentation, keeping Figure 10's counters meaningful under
-// concurrent benefit evaluation.
+// counts — drained from the CostViews a search ran its what-ifs on — into
+// the DAG's instrumentation, keeping Figure 10's counters complete.
 func (pd *DAG) AddCounters(propagations, recomputations int64) {
 	pd.costing.Propagations += propagations
 	pd.costing.Recomputations += recomputations
@@ -85,7 +84,7 @@ func (pd *DAG) AddCounters(propagations, recomputations int64) {
 // costing state; with a view they see the view's private materialization
 // delta and cost overrides instead, leaving the DAG untouched. This is the
 // single implementation of the paper's C(e)/cost recurrences used by both
-// the shared state machine and the concurrent what-if engine.
+// the shared state machine and the what-if overlay.
 
 // costIn is the current computation cost of n under the overlay.
 func (pd *DAG) costIn(v *CostView, n *Node) cost.Cost {

@@ -9,18 +9,14 @@ import (
 // materialized-set delta (additions and removals) plus per-node cost
 // overrides, maintained with the same incremental dirty-ancestor
 // propagation as DAG.SetMaterialized (paper Figure 5) but without ever
-// writing to the shared DAG. Several CostViews over one DAG can therefore
-// evaluate what-if materializations concurrently — the parallel benefit
-// loop of the greedy heuristic hands one view to each worker.
+// writing to the shared DAG: the greedy heuristic evaluates every
+// candidate's benefit on one, and each Volcano-RU order pass runs on one.
 //
-// A CostView treats the underlying DAG as an immutable snapshot: while any
-// view is in use the DAG's costing state (node costs, materialized set)
-// must not change. Toggle on the DAG only between fan-out rounds, then keep
-// using the same views — they read base costs live, so no copying is needed
-// to refresh them.
-//
-// A CostView is not safe for concurrent use by multiple goroutines; use
-// one view per worker.
+// A CostView treats the underlying DAG as a snapshot: while a what-if is
+// in flight the DAG's costing state (node costs, materialized set) must
+// not change. Toggle on the DAG only between what-ifs, then keep using the
+// same view — it reads base costs live, so no copying is needed to refresh
+// it. A CostView is not safe for concurrent use.
 type CostView struct {
 	pd *DAG
 
@@ -52,53 +48,6 @@ func (pd *DAG) NewCostView() *CostView {
 	}
 }
 
-// AcquireView returns a pristine CostView over pd, reusing a pooled view
-// when one is free. Views are bound to their DAG: the pool keeps the
-// per-view maps (whose capacity tracks the DAG's hot cone sizes) warm
-// across search phases — greedy benefit waves, Volcano-RU order passes —
-// instead of reallocating them per phase. Return views with ReleaseView.
-//
-// The free list is striped: acquisition starts at the stripe of the most
-// recent release (usually a first-probe hit) and scans the rest before
-// allocating fresh, so a pooled view is never missed just because another
-// stripe holds it.
-func (pd *DAG) AcquireView() *CostView {
-	start := pd.viewHint.Load()
-	for i := uint32(0); i < viewStripeCount; i++ {
-		s := &pd.viewStripes[(start+i)%viewStripeCount]
-		s.mu.Lock()
-		if n := len(s.views); n > 0 {
-			v := s.views[n-1]
-			s.views[n-1] = nil
-			s.views = s.views[:n-1]
-			s.mu.Unlock()
-			return v
-		}
-		s.mu.Unlock()
-	}
-	return pd.NewCostView()
-}
-
-// ReleaseView resets v and returns it to pd's pool, rotating across
-// stripes so concurrent releasers spread over distinct locks. The caller
-// must drain the view's instrumentation counters first (DrainCounters) if
-// it wants them; ReleaseView discards whatever is left so the next owner
-// starts at zero.
-func (pd *DAG) ReleaseView(v *CostView) {
-	if v == nil || v.pd != pd {
-		return
-	}
-	v.Reset()
-	v.Propagations, v.Recomputations = 0, 0
-	s := &pd.viewStripes[pd.viewHint.Add(1)%viewStripeCount]
-	s.mu.Lock()
-	s.views = append(s.views, v)
-	s.mu.Unlock()
-}
-
-// DAG returns the view's underlying DAG.
-func (v *CostView) DAG() *DAG { return v.pd }
-
 // Materialized reports whether n is materialized under the view.
 func (v *CostView) Materialized(n *Node) bool { return v.pd.matIn(v, n) }
 
@@ -110,16 +59,6 @@ func (v *CostView) CostOf(n *Node) cost.Cost { return v.pd.costIn(v, n) }
 // cost overrides, leaving the shared DAG untouched. It returns the number
 // of nodes whose cost was re-examined.
 func (v *CostView) SetMaterialized(n *Node, on bool) int {
-	return v.SetMaterializedMark(n, on, nil)
-}
-
-// SetMaterializedMark is SetMaterialized with change tracking: mark, when
-// non-nil, is called for every node whose cost value the propagation wave
-// actually changed — the `alters` half of a what-if conflict cone. Callers
-// batching several commits (Volcano-RU's reuse promotions) use the marks
-// to prove which pending decisions a committed one could have influenced,
-// and re-examine only those.
-func (v *CostView) SetMaterializedMark(n *Node, on bool, mark func(*Node)) int {
 	pd := v.pd
 	if pd.matIn(v, n) == on {
 		return 0
@@ -163,11 +102,6 @@ func (v *CostView) SetMaterializedMark(n *Node, on bool, mark func(*Node)) int {
 		old := pd.costIn(v, cur)
 		next := pd.nodeCost(v, cur)
 		v.over[cur] = next
-		if next != old {
-			if mark != nil {
-				mark(cur)
-			}
-		}
 		if next != old || v.forced[cur] {
 			for _, p := range cur.Parents {
 				h.add(p.Node)
@@ -181,7 +115,7 @@ func (v *CostView) SetMaterializedMark(n *Node, on bool, mark func(*Node)) int {
 // TotalCost is bestcost(Q, S) under the view: the root's cost plus the
 // computation and materialization cost of every member of the view's
 // materialized set. Both lists are walked in topological order, so the
-// float64 sum is bit-reproducible across runs and workers.
+// float64 sum is bit-reproducible across runs.
 func (v *CostView) TotalCost() cost.Cost {
 	pd := v.pd
 	total := pd.costIn(v, pd.Root)
@@ -218,41 +152,20 @@ func (v *CostView) DrainCounters() (propagations, recomputations int64) {
 
 // WhatIfBenefit computes bestcost(Q, S) - bestcost(Q, S ∪ {n}) — the
 // benefit of additionally materializing n — without touching the shared
-// DAG. The view must be pristine when called (as it is between WhatIf*
-// calls) and is reset afterwards, ready for the next what-if.
+// DAG. The view must be pristine when called (as it is between
+// WhatIfBenefit calls) and is reset afterwards, ready for the next what-if.
 //
 // The benefit is computed in DELTA form — the sum, in topological order,
 // of (old - new) over exactly the terms of TotalCost the wave changed,
 // minus the new member's computation and materialization cost — rather
 // than as a subtraction of two full TotalCost sums. In real arithmetic the
-// two are identical; in floats the delta form is what makes benefits
-// bit-stable across commits of independent picks: a candidate whose cone
-// does not conflict with a committed pick sums the exact same per-node
-// deltas before and after the commit, so its benefit — and therefore
-// every benefit-ranked tie among symmetric candidates — reproduces
-// bit-for-bit, which the multi-pick determinism guarantee relies on.
-// (Subtracting whole-DAG totals would instead shift every candidate's
-// rounding whenever the shared materialized list gains a term.)
+// two are identical; in floats they round differently, and the greedy
+// picks — where symmetric candidates tie in benefit — follow the delta
+// form's rounding, which the golden plans pin.
 func (v *CostView) WhatIfBenefit(n *Node) cost.Cost {
-	ben, _ := v.whatIf(n, false)
-	return ben
-}
-
-// WhatIfBenefitCone is WhatIfBenefit plus the what-if's conflict cone:
-// the nodes whose cost the wave changed (alters) and the wave's choice
-// points (sensitive) — its seed siblings and every visited node with more
-// than one implementation. The multi-pick engine uses Cone.Conflicts to
-// prove that two candidates' commits cannot affect each other's benefits.
-func (v *CostView) WhatIfBenefitCone(n *Node) (cost.Cost, Cone) {
-	return v.whatIf(n, true)
-}
-
-// whatIf toggles n on inside the pristine view, sums the benefit in delta
-// form (and optionally captures the conflict cone), then resets the view.
-func (v *CostView) whatIf(n *Node, wantCone bool) (cost.Cost, Cone) {
 	pd := v.pd
 	if pd.matIn(v, n) {
-		return 0, Cone{}
+		return 0
 	}
 	v.SetMaterialized(n, true)
 	// Benefit = Σ (old - new) over the changed TotalCost terms — the root
@@ -268,34 +181,6 @@ func (v *CostView) whatIf(n *Node, wantCone bool) (cost.Cost, Cone) {
 		}
 	}
 	ben -= pd.costIn(v, n) + n.MatCost
-
-	var cone Cone
-	if wantCone {
-		cone = Cone{alters: newConeBits(len(pd.Nodes)), sensitive: newConeBits(len(pd.Nodes))}
-		cone.sensitive.add(n)
-		for _, s := range pd.byGroup[n.LG] {
-			if n.Prop.Satisfies(s.Prop) {
-				cone.sensitive.add(s)
-			}
-		}
-		for x, c := range v.over {
-			if c != x.Cost {
-				cone.alters.add(x)
-				// A changed node whose group already has a materialized
-				// member sits at an armed reuse threshold: its consumers
-				// pay min(cost, reusecost), and two waves that each keep
-				// the cost above reusecost can jointly push it below,
-				// flipping the min non-additively. Treat such nodes as
-				// choice points, not plain value changes.
-				if len(pd.costing.matByGroup[x.LG]) > 0 || len(v.addByGroup[x.LG]) > 0 {
-					cone.sensitive.add(x)
-				}
-			}
-			if len(x.Exprs) > 1 {
-				cone.sensitive.add(x)
-			}
-		}
-	}
 	v.Reset()
-	return ben, cone
+	return ben
 }

@@ -93,33 +93,14 @@ func RenamedBatch(i int) []*algebra.Tree {
 
 func renameSuffix(qi int) string { return "_r" + string(rune('a'+qi)) }
 
-// TenantBatch builds a multi-tenant workload: m copies of the BQ_i batch,
-// with every relation of copy j renamed with a per-tenant suffix. Sharing
-// within a tenant's queries is fully preserved while tenants share
-// nothing — the shape a micro-batching service produces when it coalesces
-// unrelated sessions' traffic into one MQO batch, and the natural
-// showcase for speculative multi-pick (one independent pick per tenant
-// per wave). The catalog must contain the tenant copies; see
-// TenantCatalog.
-func TenantBatch(i, m int) []*algebra.Tree {
-	base := BatchQueries(i)
-	out := make([]*algebra.Tree, 0, m*len(base))
-	for j := 0; j < m; j++ {
-		for _, q := range base {
-			out = append(out, SuffixAliases(q, renameSuffix(j)))
-		}
-	}
-	return out
-}
-
-// TenantCatalog returns a catalog holding the base TPC-D tables plus the
-// m per-tenant renamed copies used by TenantBatch, all at the given scale
-// factor.
-func TenantCatalog(sf float64, m int) *catalog.Catalog {
+// RenamedCatalog returns a catalog holding the base TPC-D tables plus the
+// renamed per-query copies used by RenamedBatch(i), all at the given scale
+// factor. RenamedBatch(i) holds 2i queries, each with its own suffix.
+func RenamedCatalog(sf float64, i int) *catalog.Catalog {
 	base := Catalog(sf)
 	names := base.Names()
-	for j := 0; j < m; j++ {
-		sfx := renameSuffix(j)
+	for qi := 0; qi < 2*i; qi++ {
+		sfx := renameSuffix(qi)
 		for _, name := range names {
 			t := base.MustTable(name)
 			cp := *t
@@ -128,11 +109,4 @@ func TenantCatalog(sf float64, m int) *catalog.Catalog {
 		}
 	}
 	return base
-}
-
-// RenamedCatalog returns a catalog holding the base TPC-D tables plus the
-// renamed per-query copies used by RenamedBatch(i), all at the given scale
-// factor. RenamedBatch(i) holds 2i queries, each with its own suffix.
-func RenamedCatalog(sf float64, i int) *catalog.Catalog {
-	return TenantCatalog(sf, 2*i)
 }

@@ -26,12 +26,9 @@
 // "volcano-ru", ...) to Algorithm values; WithResultCache turns on the
 // paper's §8 result cache — a row-backed store of spooled intermediate
 // results that survives across batches, so repeated subexpressions in
-// later traffic are answered from storage. The optimizer's
-// search substrate auto-tunes its parallelism per batch: on large batches
-// Greedy's benefit waves, Volcano-RU's order passes and the sharability
-// analysis fan out over multiple cores (override with WithParallelism),
-// and WithMultiPick lets Greedy commit several independent picks per
-// wave — neither knob ever changes the chosen plan.
+// later traffic are answered from storage. The search runs serially and
+// picks one candidate at a time, as in the paper's Figure 4, so a batch's
+// plan depends only on its queries, catalog and options.
 //
 // For live traffic — independent concurrent requests rather than a
 // pre-assembled batch — Serve (or Optimizer.Submit) runs an adaptive

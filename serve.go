@@ -3,6 +3,7 @@ package mqo
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -248,18 +249,29 @@ type statsResponse struct {
 	PhaseSeconds map[string]float64 `json:"phase_seconds"`
 }
 
+// maxQueryBody bounds the size of a POST /query request body.
+const maxQueryBody = 1 << 20
+
 // ServiceHandler exposes a Service over HTTP+JSON:
 //
 //	POST /query  {"sql": "SELECT ..."}      -> columns, rows, batch info
 //	GET  /stats                             -> batching + plan-cache stats
+//
+// A /query body larger than maxQueryBody is answered 413.
 //
 // It is the handler cmd/mqoserver serves and examples/server drives.
 func ServiceHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
 		var req queryRequest
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		ctx := r.Context()

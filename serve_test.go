@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +155,29 @@ func TestServeRequiresDB(t *testing.T) {
 	}
 	if _, err := opt.Submit(context.Background(), sqlRevenue); err == nil {
 		t.Error("Submit without WithDB succeeded, want error")
+	}
+}
+
+// TestServiceHandlerRejectsOversizedBody: a POST /query body over the
+// 1 MiB limit is answered 413 without being decoded into a query.
+func TestServiceHandlerRejectsOversizedBody(t *testing.T) {
+	opt, err := Open(tpcd.Catalog(0.002), WithDB(NewDB(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Serve(opt, BatchingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	body := `{"sql": "` + strings.Repeat("x", maxQueryBody) + `"}`
+	rec := httptest.NewRecorder()
+	ServiceHandler(svc).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want %d (%s)", rec.Code, http.StatusRequestEntityTooLarge, rec.Body)
+	}
+	if svc.Stats().Batches != 0 {
+		t.Errorf("oversized body reached the batcher (%d batches)", svc.Stats().Batches)
 	}
 }
 
